@@ -1,48 +1,51 @@
-"""Bench guard: batched grid execution vs per-cell, on the dense grid.
+"""Bench guard: the engine's run loop vs the reference loop, on the dense grid.
 
 Runs one workload's full column of the ROADMAP's ``dense-latency-btb``
 sweep at quick scale — 120 cells: 8 LLC latency points × 5 BTB sizes for
 FDIP and Boomerang plus the 40 matched no-prefetch baselines — once
-per-cell and once through :class:`~repro.core.batch.BatchedEngine`, both
-on the serial backend with fresh runtimes (no cache hits on either side),
-and pins the batched speedup. One workload keeps the guard to ~2-3
-minutes; batching groups by workload, so each column is an independent
-sample of the same effect and the grid's config mix is fully represented.
+through the production :class:`~repro.core.engine.FrontEndEngine` and
+once through the reference loop in ``tests/reference_engine.py``, which
+ticks every stage every cycle. Both run in-process on the same loaded
+workload, with no cache on either side, and the guard pins the speedup
+of the production loop together with bit-identical stats.
 
-The measured speedup is ~1.2-1.3x. Batching is **bit-identical** to the
-per-cell engine, and ~85% of per-cell time is active per-lane work (TAGE
-lookups, wrong-path walk, the fetch loop) that batching cannot elide —
-its wins are the shared trace predecode, the fused gate loop and
-fast-forwarding jointly-idle stretches, which is why dense columns with
-idle-heavy cells (high-latency baselines) gain most and latency-1 cells
-roughly break even. See docs/architecture.md for the full accounting. The
-floor below is set with generous CI headroom: tripping it means batching
-*regressed*, not that a runner was slow.
+The production loop calls a stage only on cycles its gate opens and
+fast-forwards stretches where no stage can act (fill in flight, squash
+shadow, dispatch data stall, BTB-miss probe), so its gain grows with the
+idle share of a cell: high-latency points and no-prefetch baselines gain
+most, latency-1 cells least. About 1.3× was measured on this column at
+the time of writing; see docs/architecture.md. The floor below is set
+with generous CI headroom: tripping it means the run loop *regressed*,
+not that a runner was slow.
 
 Besides the assertion, the run leaves machine-readable numbers in
-``benchmarks/results/BENCH_batched_grid.json`` (cells/sec per mode,
-wall-clock, batch width, speedup) — the CI benchmarks job publishes them
-in its step summary.
+``benchmarks/results/BENCH_batched_grid.json`` (cells/sec per loop,
+wall-clock, speedup) — the CI benchmarks job publishes them in its step
+summary.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import sys
 import time
 
+from repro.core.engine import FrontEndEngine
 from repro.experiments.common import get_scale
 from repro.experiments.sweeps import get_sweep
-from repro.runtime import DEFAULT_BATCH_WIDTH, ExperimentRuntime
 from repro.workloads.workload import load_workload
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from reference_engine import reference_run  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: The measured column: one paper workload's slice of the dense grid.
 WORKLOAD = "apache"
 
-#: Measured ~1.3x on an idle machine; anything above 1.0 means batching
-#: pays for itself. The gap to the measurement absorbs CI-runner noise.
+#: Anything above 1.0 means the production loop pays for its gates; the
+#: gap to the measurement absorbs CI-runner noise.
 SPEEDUP_FLOOR = 1.05
 
 
@@ -59,39 +62,35 @@ def _dense_column(workload: str) -> list:
     return jobs
 
 
-def test_batched_dense_grid_faster_than_per_cell():
+def test_engine_loop_faster_than_reference():
     jobs = _dense_column(WORKLOAD)
     assert len(jobs) == 120  # 2 mechanisms x 8 latencies x 5 BTBs + 40 baselines
     scale = get_scale("quick")
-    # Build the workload (CFG + columnar trace) once, outside both
-    # timings — both modes would otherwise charge it to whoever ran first.
-    load_workload(WORKLOAD, scale=scale.workload_scale)
+    # Build the workload (CFG + columnar trace) once, outside both timings.
+    workload = load_workload(WORKLOAD, scale=scale.workload_scale)
 
     start = time.perf_counter()
-    per_cell = ExperimentRuntime().run_many(jobs)
-    t_cell = time.perf_counter() - start
+    reference = [reference_run(workload, job.config) for job in jobs]
+    t_ref = time.perf_counter() - start
 
-    batched_runtime = ExperimentRuntime(batch=True, batch_width=DEFAULT_BATCH_WIDTH)
     start = time.perf_counter()
-    batched = batched_runtime.run_many(jobs)
-    t_batch = time.perf_counter() - start
+    production = [FrontEndEngine(workload, job.config).run() for job in jobs]
+    t_prod = time.perf_counter() - start
 
-    identical = [r.raw for r in per_cell] == [r.raw for r in batched]
-    speedup = t_cell / t_batch
+    identical = production == reference
+    speedup = t_ref / t_prod
     payload = {
         "sweep": "dense-latency-btb",
         "scale": "quick",
         "workload": WORKLOAD,
         "cells": len(jobs),
-        "batch_width": DEFAULT_BATCH_WIDTH,
-        "batch_units": batched_runtime.backend_telemetry.get("batch_units"),
-        "per_cell": {
-            "seconds": round(t_cell, 2),
-            "cells_per_sec": round(len(jobs) / t_cell, 2),
+        "reference": {
+            "seconds": round(t_ref, 2),
+            "cells_per_sec": round(len(jobs) / t_ref, 2),
         },
-        "batched": {
-            "seconds": round(t_batch, 2),
-            "cells_per_sec": round(len(jobs) / t_batch, 2),
+        "engine": {
+            "seconds": round(t_prod, 2),
+            "cells_per_sec": round(len(jobs) / t_prod, 2),
         },
         "speedup": round(speedup, 3),
         "speedup_floor": SPEEDUP_FLOOR,
@@ -101,13 +100,12 @@ def test_batched_dense_grid_faster_than_per_cell():
     path = RESULTS_DIR / "BENCH_batched_grid.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(
-        f"\n{WORKLOAD} dense column ({len(jobs)} cells): per-cell "
-        f"{t_cell:.1f}s, batched {t_batch:.1f}s "
-        f"(speedup {speedup:.2f}x, width {DEFAULT_BATCH_WIDTH}) -> {path}"
+        f"\n{WORKLOAD} dense column ({len(jobs)} cells): reference "
+        f"{t_ref:.1f}s, engine {t_prod:.1f}s (speedup {speedup:.2f}x) -> {path}"
     )
 
-    assert identical, "batched results diverged from per-cell — never trade correctness"
+    assert identical, "the engine diverged from the reference loop — never trade correctness"
     assert speedup >= SPEEDUP_FLOOR, (
-        f"batched execution regressed: {t_batch:.1f}s vs per-cell "
-        f"{t_cell:.1f}s (speedup {speedup:.2f}x < floor {SPEEDUP_FLOOR}x)"
+        f"the engine's run loop regressed: {t_prod:.1f}s vs reference "
+        f"{t_ref:.1f}s (speedup {speedup:.2f}x < floor {SPEEDUP_FLOOR}x)"
     )

@@ -146,6 +146,11 @@ class TagePredictor(DirectionPredictor):
         # predict() caches its working set for the matching update().
         self._cached_pc: int | None = None
         self._cached: tuple | None = None
+        # pc -> working set, valid until the next update()/reset(): the
+        # tables and history only change there, so a repeat predict of the
+        # same pc (wrong-path walks re-probe loop blocks many times within
+        # one squash episode) returns the same result without a lookup.
+        self._memo: dict[int, tuple] = {}
 
     # -- prediction ---------------------------------------------------------
 
@@ -177,6 +182,16 @@ class TagePredictor(DirectionPredictor):
         return self.base[(pc >> 2) & self._base_mask] >= 2
 
     def predict(self, pc: int) -> bool:
+        cached = self._memo.get(pc)
+        if cached is None:
+            cached = self._working_set(pc)
+            self._memo[pc] = cached
+        self._cached_pc = pc
+        self._cached = cached
+        return cached[4]
+
+    def _working_set(self, pc: int) -> tuple:
+        """Lookup result plus predictions for ``pc`` at the current state."""
         indices, tags, provider, alt = self._lookup(pc)
         if provider >= 0:
             table = self.tables[provider]
@@ -197,9 +212,7 @@ class TagePredictor(DirectionPredictor):
             pred = self._base_pred(pc)
             alt_pred = pred
             provider_pred = pred
-        self._cached_pc = pc
-        self._cached = (indices, tags, provider, alt, pred, alt_pred, provider_pred)
-        return pred
+        return (indices, tags, provider, alt, pred, alt_pred, provider_pred)
 
     # -- training -----------------------------------------------------------
 
@@ -209,6 +222,7 @@ class TagePredictor(DirectionPredictor):
         indices, tags, provider, alt, pred, alt_pred, provider_pred = self._cached  # type: ignore[misc]
         self._cached_pc = None
         self._cached = None
+        self._memo.clear()
 
         if provider >= 0:
             table = self.tables[provider]
@@ -306,3 +320,4 @@ class TagePredictor(DirectionPredictor):
         self._updates = 0
         self._cached_pc = None
         self._cached = None
+        self._memo.clear()

@@ -1,50 +1,20 @@
-"""Batched grid execution: many configs simulated over one shared trace.
+"""Batched grid execution: many configs of one workload, one shared memo.
 
 Dense sweep grids (8 LLC latencies x 5 BTB sizes x mechanisms, Figure 5's
 `dense-latency-btb`) re-simulate the *same* workload trace once per cell.
-The trace itself — the flat columnar arrays and the static CFG — is
-config-independent and already shared (one :class:`~repro.workloads
-.workload.Workload` object), but each per-cell engine still walks every
-cycle of it, and most of those cycles are provably dead time: fetch
-parked on an L1-I miss, the BPU sitting out a BTB-miss probe, the whole
-front end draining a squash shadow.
+:class:`BatchedEngine` runs N configurations (*lanes*) of one workload as
+N :class:`~repro.core.engine.FrontEndEngine` runs that share one
+:class:`~repro.core.engine.PredecodeMemo`: Boomerang's BTB-miss fill and
+Confluence's fill-time block predecode are pure functions of
+``(cfg, block, pc)``, so the first lane to predecode a block computes it
+for all of them.
 
-:class:`BatchedEngine` simulates N configurations (*lanes*) of one
-workload in a single pass with three levers:
-
-* **shared config-independent walk state** — all lanes read the same
-  trace columns and CFG, share one sorted block-start table, and share a
-  per-workload predecode memo (:class:`_SharedPredecode`): Boomerang's
-  BTB-miss fill and Confluence's fill-time block predecode are pure
-  functions of ``(cfg, block, pc)``, so the first lane to predecode a
-  block computes it for all of them (entries are immutable named tuples).
-* **a fused gate loop** — instead of calling every stage's ``tick`` every
-  cycle, the lane loop inlines each tick's own early-out guard (squash
-  not due, ROB empty, decode head not ready, FTQ empty, BPU stalled …)
-  and only *calls* the stages that can act this cycle. A gated-off tick
-  is a provable no-op, so this is pure overhead removal: most cycles
-  most stages do nothing, and a Python comparison is ~an order of
-  magnitude cheaper than a bound-method call that immediately returns.
-  The two counters idle ticks *do* maintain (wrong-path cycles, fetch
-  stall-class cycles) are accrued inline.
-* **event-skip fast-forward** (:class:`_FastForward`) — after each live
-  cycle a lane proves, stage by stage, that nothing can happen at
-  ``cycle + 1``, computes the earliest cycle anything *can* happen (fill
-  arrival, squash, stall expiry, prefetch-ready, dispatch-stall expiry)
-  and jumps there, bulk-accruing the per-cycle counters the skipped
-  ticks would have incremented (wrong-path cycles, BTB-miss stall
-  cycles, fetch stall cycles by entry class). Waking *early* is always
-  safe — the live loop just proves inactivity again — so every bound is
-  conservative.
-
-Per-config state stays per-lane: BTB content is timing-dependent (LRU,
+Everything else stays per lane: BTB content is timing-dependent (LRU,
 wrong-path pollution) and the conditional predictor's update sequence is
 BTB-dependent (misses skip the update), so lanes own full private
-hardware blocks and tick the exact PR 2 stage objects. That is what
-makes the mode **golden-equivalent**: every lane's stats dict is
-bit-identical to a fresh :class:`~repro.core.engine.FrontEndEngine` run
-of the same (workload, config) — pinned by ``tests/test_batch.py``
-against all 8 mechanisms.
+hardware blocks and run the engine's own loop. Every lane's stats dict
+is therefore bit-identical to a fresh ``FrontEndEngine(workload,
+config).run()`` — pinned by ``tests/test_batch.py``.
 
 The runtime dispatches whole same-workload groups here as
 :class:`~repro.runtime.runner.BatchJob` units when ``--batch`` /
@@ -56,294 +26,19 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from ..branch.predictors.tage import TagePredictor
 from ..config import SimConfig
-from ..errors import SimulationError
-from ..frontend.predecode import boomerang_fill, predecode_block
 from ..workloads.workload import Workload
-from .engine import _CYCLE_CAP_FACTOR, FrontEndEngine
+from .engine import FrontEndEngine, PredecodeMemo
 from .profiling import StageProfiler
-from .results import aggregate_stage_counters
-from .stages import PipelineState
-from .stages.bpu import BPUStage, MissProbeBPU
-from .stages.decode import DecodeDispatch
-from .stages.fetch import FetchUnit
-from .stages.fill import FillArrival, PredecodeFillArrival
-from .stages.prefetch_issue import FTQScanPrefetchIssue, StreamPrefetchIssue
-from .stages.retire import RetireUnit
-from .stages.squash import SquashUnit
-from .stages.state import CONDK, SEQ, UNCONDK
 
 __all__ = ["BatchedEngine"]
 
 
-class _SharedPredecode:
-    """Per-workload memo for the pure predecode functions.
-
-    ``boomerang_fill`` and ``predecode_block`` depend only on the static
-    CFG and the probed address — never on timing or per-config state —
-    and return immutable :class:`~repro.branch.btb.BTBEntry` values that
-    consumers only iterate. One lane's work therefore serves every lane
-    of the batch (and every repeat probe within a lane).
-    """
-
-    __slots__ = ("_fill_memo", "_block_memo")
-
-    def __init__(self) -> None:
-        self._fill_memo: dict = {}
-        self._block_memo: dict = {}
-
-    def fill(self, cfg, block, miss_pc):
-        """Memoized :func:`~repro.frontend.predecode.boomerang_fill`."""
-        key = (block, miss_pc)
-        hit = self._fill_memo.get(key)
-        if hit is None:
-            hit = boomerang_fill(cfg, block, miss_pc)
-            self._fill_memo[key] = hit
-        return hit
-
-    def predecode(self, cfg, block):
-        """Memoized :func:`~repro.frontend.predecode.predecode_block`."""
-        hit = self._block_memo.get(block)
-        if hit is None:
-            hit = predecode_block(cfg, block)
-            self._block_memo[block] = hit
-        return hit
-
-
-#: Distinct-from-any-prediction sentinel for the memo's miss path.
-_MISS = object()
-
-
-class _TagePredictMemo:
-    """Memoizing facade over a lane's TAGE predictor (batched lanes only).
-
-    ``TagePredictor.predict`` is pure between state changes: the tables
-    and the global history mutate only inside ``update``. Wrong-path
-    walks probe the same loop blocks dozens of times within one squash
-    episode with zero intervening updates, so memoizing predictions until
-    the next update removes most of that repeated table walking — and it
-    is bit-identical, because an unchanged predictor state must return an
-    unchanged prediction. The inner predictor's predict-cache handshake
-    with ``update`` is unaffected: on a memo hit the inner ``update``
-    re-derives its working set itself, which is exactly the computation
-    the memo skipped.
-    """
-
-    __slots__ = ("_inner", "_memo")
-
-    def __init__(self, inner: TagePredictor):
-        self._inner = inner
-        self._memo: dict = {}
-
-    def predict(self, pc: int) -> bool:
-        pred = self._memo.get(pc, _MISS)
-        if pred is _MISS:
-            pred = self._inner.predict(pc)
-            self._memo[pc] = pred
-        return pred
-
-    def update(self, pc: int, taken: bool) -> None:
-        self._memo.clear()
-        self._inner.update(pc, taken)
-
-
-class _FastForward:
-    """Event-skip oracle for one lane's pipeline.
-
-    ``advance(state, cycle, cycle_cap)`` is called after a completed live
-    cycle. It first checks whether any stage can *act* at ``cycle + 1``
-    (exactly mirroring each stage's tick guards); if one can, it returns
-    ``cycle`` unchanged and the loop runs the next cycle live. Otherwise
-    it computes the earliest wake cycle from the pending-event bounds,
-    bulk-accrues the counters the skipped idle ticks would have
-    incremented, and returns ``wake - 1`` so the loop's ``cycle += 1``
-    resumes live exactly at the wake cycle.
-
-    Soundness notes (why skipped cycles are provably no-ops):
-
-    * Only the BPU arms squashes/misses, only fetch pops the FTQ or
-      requests fills, only decode dispatches, only retire retires — and
-      each is gated by the exact conditions re-checked here; none of the
-      gating state changes during a window by construction.
-    * ``rob_instrs + decode_instrs`` is invariant under decode dispatch,
-      so a fetch blocked on ROB occupancy stays blocked until a retire
-      (live) or a squash (bounded) changes it.
-    * The warmup snapshot fires during the retire tick of the cycle the
-      threshold is crossed, so it can never be pending after a completed
-      cycle.
-    * The prefetch-scan watermark is caught up after every live cycle
-      (the scan stage runs after the BPU), and stream prefetchers only
-      emit from fetch/retire hooks — both live-only.
-    """
-
-    __slots__ = (
-        "bpu",
-        "fetch",
-        "arrivals",
-        "ftq_entries",
-        "ftq_depth",
-        "n_records",
-        "rob_size",
-        "has_ftq_scan",
-        "pf_queue",
-        "skipped_cycles",
-        "fast_forwards",
-    )
-
-    def __init__(self, engine: FrontEndEngine):
-        bpu = None
-        fetch = None
-        has_ftq_scan = False
-        pf_queue = None
-        for stage in engine.stages:
-            if isinstance(stage, BPUStage):
-                bpu = stage
-            elif isinstance(stage, FetchUnit):
-                fetch = stage
-            elif isinstance(stage, FTQScanPrefetchIssue):
-                has_ftq_scan = True
-            elif isinstance(stage, StreamPrefetchIssue):
-                pf_queue = engine.prefetcher._queue
-        if bpu is None or fetch is None:
-            raise SimulationError(
-                "batched fast-forward needs a BPU and a fetch stage in the "
-                "composition"
-            )
-        self.bpu = bpu
-        self.fetch = fetch
-        self.arrivals = engine.mem._arrivals  # fill-arrival heap (read-only)
-        self.ftq_entries = engine.ftq.entries
-        self.ftq_depth = engine.ftq.depth
-        self.n_records = bpu.n_records
-        self.rob_size = fetch.rob_size
-        self.has_ftq_scan = has_ftq_scan
-        self.pf_queue = pf_queue
-        self.skipped_cycles = 0
-        self.fast_forwards = 0
-
-    def advance(self, state: PipelineState, cycle: int, cycle_cap: int) -> int:
-        nxt = cycle + 1
-
-        # ---- can any stage act at nxt? (mirror of each tick's guards) ----
-        rob = state.rob
-        if rob and not rob[0][1]:
-            return cycle  # retire drains a correct-path ROB head
-        dsu = state.dispatch_stall_until
-        rob_size = self.rob_size
-        decode_q = state.decode_q
-        if (
-            decode_q
-            and dsu <= nxt
-            and decode_q[0][0] <= nxt
-            and state.rob_instrs + decode_q[0][1] <= rob_size
-        ):
-            return cycle  # decode dispatches its head group
-        ftq_entries = self.ftq_entries
-        fetchable = state.cur_entry is not None or bool(ftq_entries)
-        if (
-            dsu <= nxt
-            and state.fetch_ready <= nxt
-            and fetchable
-            and state.rob_instrs + state.decode_instrs < rob_size
-        ):
-            return cycle  # fetch drains the FTQ head
-        bsu = state.bpu_stall_until
-        bmiss = state.bmiss
-        if (
-            bmiss is None
-            and bsu <= nxt
-            and len(ftq_entries) < self.ftq_depth
-            and (state.wrong_path or state.bpu_idx < self.n_records)
-        ):
-            return cycle  # BPU predicts / walks the wrong path
-        if self.has_ftq_scan:
-            if state.throttle_q:
-                return cycle  # throttle block pre-empts the probe port
-            if bmiss is None and state.probe_pos < len(state.probe_q):
-                return cycle  # prefetch engine issues a queued probe
-        pf_queue = self.pf_queue
-        if pf_queue is not None and pf_queue and pf_queue[0][0] <= nxt:
-            return cycle  # stream prefetcher has a probe-ready block
-
-        # ---- nothing can: earliest cycle anything becomes possible ----
-        wake = state.squash_at
-        arrivals = self.arrivals
-        if arrivals:
-            head = arrivals[0][0]
-            if head < wake:
-                wake = head
-        if cycle < dsu < wake:
-            wake = dsu
-        fr = state.fetch_ready
-        if cycle < fr < wake:
-            wake = fr
-        if decode_q and state.rob_instrs + decode_q[0][1] <= rob_size:
-            head = decode_q[0][0]
-            if head < wake:
-                wake = head
-        if bmiss is not None:
-            bound = bmiss[2] if bmiss[2] > bsu else bsu
-            if bound < wake:
-                wake = bound
-        elif cycle < bsu < wake:
-            wake = bsu
-        if pf_queue is not None and pf_queue:
-            head = pf_queue[0][0]
-            if head < wake:
-                wake = head
-
-        last = wake - 1
-        if last > cycle_cap:
-            # A fully-dead pipeline (or a wake beyond the budget) jumps to
-            # the cap; the live loop then raises the same livelock error
-            # at cap + 1 that the per-cell engine would reach by walking.
-            last = cycle_cap
-        if last <= cycle:
-            return cycle
-        window = last - cycle
-        self.skipped_cycles += window
-        self.fast_forwards += 1
-
-        # ---- bulk-accrue what the skipped idle ticks would have counted ----
-        bpu = self.bpu
-        if state.wrong_path:
-            bpu.wp_cycles += window  # counted before every other BPU guard
-        if bmiss is not None:
-            # The probe state machine charges one stall cycle per tick it
-            # runs (cycle >= bpu_stall_until), resolving only at the wake.
-            lo = bsu if bsu > nxt else nxt
-            if lo <= last:
-                bpu.btb_miss_stall_cycles += last - lo + 1
-        if dsu <= cycle:
-            if fr > cycle:
-                # Fetch charges the recorded entry class every stalled
-                # cycle (wrong-path stalls record no class and charge
-                # nothing, matching the live tick).
-                cls = state.stall_cls
-                fetch = self.fetch
-                if cls == SEQ:
-                    fetch.stall_seq += window
-                elif cls == CONDK:
-                    fetch.stall_cond += window
-                elif cls == UNCONDK:
-                    fetch.stall_uncond += window
-            elif fetchable:
-                # ROB/decode full: the live tick's only effect is clearing
-                # the stall class before bailing out of the drain loop.
-                state.stall_cls = -1
-        return last
-
-
 class BatchedEngine:
-    """Simulate N configurations of one workload in a single trace pass.
+    """Simulate N configurations of one workload with a shared predecode memo.
 
-    Lanes are full per-config engines (see the module docstring for why
-    per-config state cannot be shared bit-identically); the batch shares
-    the workload, the sorted block-start table and the predecode memo,
-    and every lane runs under the event-skip fast-forward. ``run()``
-    returns one stats dict per config, in config order, each bit-identical
-    to ``FrontEndEngine(workload, config).run()``.
+    ``run()`` returns one stats dict per config, in config order, each
+    bit-identical to ``FrontEndEngine(workload, config).run()``.
     """
 
     def __init__(
@@ -356,251 +51,15 @@ class BatchedEngine:
         self.configs = tuple(configs)
         if not self.configs:
             raise ValueError("BatchedEngine needs at least one config")
-        #: Optional ``--profile-stages`` collector: every gated-in stage
-        #: call (and the fast-forward oracle) is timed when set.
+        #: Optional ``--profile-stages`` collector handed to every lane.
         self.profiler = profiler
-        self.lanes = [FrontEndEngine(workload, cfg) for cfg in self.configs]
-
-        shared = _SharedPredecode()
-        shared_starts = None
-        for lane in self.lanes:
-            for stage in lane.stages:
-                if isinstance(stage, BPUStage):
-                    if shared_starts is None:
-                        shared_starts = stage._starts_sorted
-                    else:
-                        stage._starts_sorted = shared_starts
-                    if isinstance(stage, MissProbeBPU):
-                        stage._fill = shared.fill
-                    if isinstance(stage.predictor, TagePredictor):
-                        stage.predictor = _TagePredictMemo(stage.predictor)
-                elif isinstance(stage, PredecodeFillArrival):
-                    stage._predecode = shared.predecode
-
-        #: Fast-forward telemetry, aggregated over lanes by ``run()``.
-        self.live_cycles = 0
-        self.skipped_cycles = 0
-        self.fast_forwards = 0
+        memo = PredecodeMemo()
+        self.lanes = [
+            FrontEndEngine(workload, cfg, predecode=memo) for cfg in self.configs
+        ]
 
     def run(self, max_instructions: int | None = None) -> list[dict[str, float]]:
         """Run every lane; one stats dict per config, in config order."""
-        return [self._run_lane(lane, max_instructions) for lane in self.lanes]
-
-    # ------------------------------------------------------------------ lane
-
-    def _run_lane(
-        self, lane: FrontEndEngine, max_instructions: int | None
-    ) -> dict[str, float]:
-        """One lane's run loop: fused gates + fast-forward.
-
-        Stage *effects* replicate ``FrontEndEngine.run`` exactly — same
-        state construction, same per-cycle stage order, same cycle cap and
-        livelock error, same drain break, same warmup-subtracted stats —
-        but each stage's tick is called only when its own early-out guard
-        (inlined here) says it can act this cycle. Each gate is copied
-        from the head of the corresponding tick, so a gated-off call is a
-        no-op by that stage's own code; the two counters idle ticks do
-        maintain (BPU wrong-path cycles, fetch stall-class cycles) are
-        accrued inline on the gated paths that own them.
-        """
-        wl = self.workload
-        n_records = len(wl.trace)
-        total_instrs = wl.trace.n_instrs
-        if max_instructions is not None:
-            total_instrs = min(total_instrs, max_instructions)
-        warmup_instrs = min(wl.warmup_instrs, total_instrs // 2)
-
-        stages = lane.stages
-        mem = lane.mem
-        ftq = lane.ftq
-
-        # The fused loop hard-codes the composition spine every mechanism
-        # shares (mechanisms.compose_stages): fill, squash, retire, decode,
-        # fetch, BPU, then at most one prefetch-issue stage. Refuse clearly
-        # if a future composition breaks that shape.
-        tail_ok = len(stages) == 6 or (
-            len(stages) == 7
-            and isinstance(stages[6], FTQScanPrefetchIssue | StreamPrefetchIssue)
-        )
-        if not (
-            tail_ok
-            and isinstance(stages[0], FillArrival)
-            and isinstance(stages[1], SquashUnit)
-            and isinstance(stages[2], RetireUnit)
-            and isinstance(stages[3], DecodeDispatch)
-            and isinstance(stages[4], FetchUnit)
-            and isinstance(stages[5], BPUStage)
-        ):
-            raise SimulationError(
-                f"batched mode does not understand the stage composition of "
-                f"{lane.config.mechanism!r} — run it per-cell"
-            )
-        fill_tick = stages[0].tick
-        squash_tick = stages[1].tick
-        retire_tick = stages[2].tick
-        decode_tick = stages[3].tick
-        fetch = stages[4]
-        fetch_tick = fetch.tick
-        bpu = stages[5]
-        bpu_probe = bpu._advance_miss_probe
-        bpu_predict = bpu._predict
-        bpu_walk = bpu._walk_wrong_path
-        scan = scan_tick = stream_tick = pf_queue = None
-        if len(stages) == 7:
-            if isinstance(stages[6], FTQScanPrefetchIssue):
-                scan = stages[6]
-                scan_tick = scan.tick
-            else:
-                stream_tick = stages[6].tick
-                pf_queue = lane.prefetcher._queue
-
-        profiler = self.profiler
-        if profiler is not None:
-            # Timing wrappers are pure pass-throughs: results stay
-            # bit-identical; every gated-in call attributes to its stage.
-            fill_tick = profiler.wrap(stages[0].name, fill_tick)
-            squash_tick = profiler.wrap(stages[1].name, squash_tick)
-            retire_tick = profiler.wrap(stages[2].name, retire_tick)
-            decode_tick = profiler.wrap(stages[3].name, decode_tick)
-            fetch_tick = profiler.wrap(fetch.name, fetch_tick)
-            bpu_probe = profiler.wrap(bpu.name, bpu_probe)
-            bpu_predict = profiler.wrap(bpu.name, bpu_predict)
-            bpu_walk = profiler.wrap(bpu.name, bpu_walk)
-            if scan_tick is not None:
-                scan_tick = profiler.wrap(scan.name, scan_tick)
-            if stream_tick is not None:
-                stream_tick = profiler.wrap(stages[6].name, stream_tick)
-
-        def collect(cycle: int) -> dict[str, float]:
-            return aggregate_stage_counters(
-                cycle, state.retired, stages, lane.btb, lane.btb_pf_buffer, ftq, mem
-            )
-
-        state = PipelineState(warmup_instrs=warmup_instrs, collect_counters=collect)
-
-        cycle = 0
-        cycle_cap = _CYCLE_CAP_FACTOR * max(total_instrs, 1)
-        ff = _FastForward(lane)
-        advance = ff.advance
-        if profiler is not None:
-            advance = profiler.wrap("fast-forward", advance)
-        live = 0
-
-        # Loop-stable objects (never rebound by any stage; deques mutate in
-        # place, the squash flush uses clear()).
-        arrivals = mem._arrivals
-        ftq_entries = ftq.entries
-        ftq_depth = ftq.depth
-        rob = state.rob
-        rob_size = fetch.rob_size
-
-        while state.retired < total_instrs:
-            cycle += 1
-            if cycle > cycle_cap:
-                raise SimulationError(
-                    f"cycle cap exceeded ({cycle} cycles, {state.retired}/"
-                    f"{total_instrs} instructions) — engine livelock for "
-                    f"{lane.config.mechanism}"
-                )
-            live += 1
-
-            # 1. fill arrivals — due iff the earliest scheduled fill is ready.
-            if arrivals and arrivals[0][0] <= cycle:
-                fill_tick(state, cycle)
-            # 2. squash — due iff the scheduled squash cycle arrived.
-            if state.squash_at <= cycle:
-                squash_tick(state, cycle)
-            # 3. retire — ROB work, or the pending warmup-boundary snapshot
-            #    (which only ever becomes due inside a retiring tick, except
-            #    for a zero-instruction warmup at the very first cycle).
-            if rob:
-                retire_tick(state, cycle)
-            elif state.warmup_snapshot is None and state.retired >= warmup_instrs:
-                retire_tick(state, cycle)
-            # 4+5. decode dispatch, then fetch; both sit behind the dispatch
-            #      data-stall, re-read after decode (it may arm a new one).
-            dsu = state.dispatch_stall_until
-            if dsu <= cycle:
-                decode_q = state.decode_q
-                if (
-                    decode_q
-                    and decode_q[0][0] <= cycle
-                    and state.rob_instrs + decode_q[0][1] <= rob_size
-                ):
-                    decode_tick(state, cycle)
-                    dsu = state.dispatch_stall_until
-                if dsu <= cycle:
-                    if state.fetch_ready > cycle:
-                        cls = state.stall_cls
-                        if cls == SEQ:
-                            fetch.stall_seq += 1
-                        elif cls == CONDK:
-                            fetch.stall_cond += 1
-                        elif cls == UNCONDK:
-                            fetch.stall_uncond += 1
-                    elif state.cur_entry is not None or ftq_entries:
-                        if state.rob_instrs + state.decode_instrs < rob_size:
-                            fetch_tick(state, cycle)
-                        else:
-                            state.stall_cls = -1  # tick's only effect when full
-            # 6. BPU — wrong-path cycles accrue before every other guard.
-            wrong = state.wrong_path
-            if wrong:
-                bpu.wp_cycles += 1
-            bpu_idle = True
-            if state.bpu_stall_until <= cycle:
-                if state.bmiss is not None:
-                    bpu_probe(state, cycle)
-                    # A still-pending probe is skippable stall time; a
-                    # resolved one frees the BPU to act next cycle.
-                    bpu_idle = state.bmiss is not None
-                elif len(ftq_entries) < ftq_depth:
-                    if not wrong and state.bpu_idx < n_records:
-                        bpu_predict(state, cycle)
-                        bpu_idle = False
-                    elif wrong:
-                        bpu_walk(state, cycle)
-                        bpu_idle = False
-            # 7. prefetch issue — new FTQ pushes to scan, or the probe mux
-            #    has traffic (throttle blocks / queued probes / ready stream).
-            if scan is not None:
-                if (
-                    ftq.pushed != scan._scan_mark
-                    or state.throttle_q
-                    or (state.bmiss is None and state.probe_pos < len(state.probe_q))
-                ):
-                    scan_tick(state, cycle)
-            elif pf_queue is not None and pf_queue and pf_queue[0][0] <= cycle:
-                stream_tick(state, cycle)
-
-            # End-of-trace drain: if the BPU has consumed the whole trace and
-            # everything younger has drained, stop (counts remaining retire).
-            if (
-                state.bpu_idx >= n_records
-                and not state.wrong_path
-                and not ftq_entries
-                and state.cur_entry is None
-                and not state.decode_q
-                and not rob
-            ):
-                break
-
-            # Fast-forward attempt, pre-gated on the two dominant rejects:
-            # a BPU that just acted can almost always act again, and a
-            # retiring ROB head keeps the cycle live. Skipping an attempt
-            # is always safe — advance is purely an optimization.
-            if bpu_idle and (not rob or rob[0][1]):
-                cycle = advance(state, cycle, cycle_cap)
-
-        final = collect(cycle)
-        base = state.warmup_snapshot or {k: 0 for k in final}
-        stats = {k: final[k] - base.get(k, 0) for k in final}
-        stats["warmup_instrs"] = float(base.get("retired_instrs", 0))
-        stats["warmup_cycles"] = float(base.get("cycles", 0))
-        stats["total_cycles"] = float(cycle)
-        stats["llc_round_trip"] = float(mem.llc_round_trip)
-
-        self.live_cycles += live
-        self.skipped_cycles += ff.skipped_cycles
-        self.fast_forwards += ff.fast_forwards
-        return stats
+        return [
+            lane.run(max_instructions, profiler=self.profiler) for lane in self.lanes
+        ]

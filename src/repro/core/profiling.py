@@ -1,22 +1,15 @@
-"""Per-stage cycle/time attribution for both engines (``--profile-stages``).
+"""Per-stage cycle/time attribution for the engine (``--profile-stages``).
 
 The sweeps CLI turns the process-wide profiler on
 (:func:`enable`), the runtime's job executors consult it
-(:func:`active`), and every *stage activation* — one ``tick`` (or, in the
-batched engine's fused loop, one gated-in stage call) — is timed with
-``perf_counter`` and accumulated per stage name. The resulting table
-answers "where do the cycles go": how many cycles each stage actually
-acted, and how much wall time those activations cost.
-
-Attribution semantics differ slightly, and meaningfully, per engine:
-
-* the per-cell :class:`~repro.core.engine.FrontEndEngine` calls every
-  stage every cycle, so a stage's tick count equals the cycle count and
-  its time includes the idle early-outs;
-* the batched :class:`~repro.core.batch.BatchedEngine` only calls a stage
-  on cycles its gate opens, so tick counts there show how often each
-  stage was *live* — exactly the signal that motivates the fused gate
-  loop — and the fast-forward oracle appears as its own row.
+(:func:`active`), and every *stage activation* is timed with
+``perf_counter`` and accumulated per stage name. The engine's run loop
+only calls a stage on cycles its gate opens and skips provably idle
+stretches outright, so an activation is a *live call*: tick counts show
+how often each stage actually acted, not how many cycles elapsed. The
+profiler also records, outside the per-stage rows, how many cycles the
+engine ran live, how many it fast-forwarded and in how many jumps; the
+table prints them as a ``fast-forward:`` line.
 
 Profiling never changes simulated results (the wrappers are pure
 pass-throughs), but it does add per-call overhead, so wall-clock numbers
@@ -47,20 +40,28 @@ __all__ = [
 
 
 class StageProfiler:
-    """Accumulates ``(activations, seconds)`` per stage name."""
+    """Accumulates ``(activations, seconds)`` per stage name.
 
-    __slots__ = ("rows",)
+    ``rows`` holds exactly the profiled stages' names; the engine's cycle
+    counts (``live_cycles``, ``skipped_cycles``, ``fast_forwards``) are
+    kept beside them, never as a row.
+    """
+
+    __slots__ = ("rows", "live_cycles", "skipped_cycles", "fast_forwards")
 
     def __init__(self) -> None:
         #: stage name -> [activations, seconds], insertion-ordered.
         self.rows: dict[str, list[float]] = {}
+        self.live_cycles = 0
+        self.skipped_cycles = 0
+        self.fast_forwards = 0
 
     def wrap(self, name: str, fn: Callable) -> Callable:
         """A pass-through wrapper timing every call of ``fn`` under ``name``.
 
-        Multiple callables may share a name (the batched BPU's predict /
-        probe / wrong-path walk entry points all attribute to the BPU
-        stage); their counts and times pool into one row.
+        Multiple callables may share a name (the BPU's predict / probe /
+        wrong-path walk entry points all attribute to the BPU stage);
+        their counts and times pool into one row.
         """
         row = self.rows.setdefault(name, [0, 0.0])
 
@@ -73,6 +74,12 @@ class StageProfiler:
 
         return timed
 
+    def record_cycles(self, live: int, skipped: int, jumps: int) -> None:
+        """Add one run's live and fast-forwarded cycle counts."""
+        self.live_cycles += live
+        self.skipped_cycles += skipped
+        self.fast_forwards += jumps
+
     def table(self) -> str:
         """The per-stage attribution table the CLI prints."""
         if not self.rows:
@@ -82,7 +89,7 @@ class StageProfiler:
             )
         total = sum(row[1] for row in self.rows.values())
         lines = [
-            "per-stage attribution (activations = cycles the stage ran):",
+            "per-stage attribution (activations = live calls of the stage):",
             f"  {'stage':<16s} {'activations':>12s} {'seconds':>9s} {'share':>6s}",
         ]
         for name, (calls, seconds) in self.rows.items():
@@ -91,6 +98,13 @@ class StageProfiler:
                 f"  {name:<16s} {int(calls):>12d} {seconds:>9.3f} {share:>6.1%}"
             )
         lines.append(f"  {'total':<16s} {'':>12s} {total:>9.3f}")
+        cycles = self.live_cycles + self.skipped_cycles
+        skipped_share = self.skipped_cycles / cycles if cycles else 0.0
+        lines.append(
+            f"fast-forward: {self.live_cycles} live cycles, "
+            f"{self.skipped_cycles} skipped in {self.fast_forwards} jumps "
+            f"({skipped_share:.1%} of {cycles} cycles skipped)"
+        )
         return "\n".join(lines)
 
 
@@ -115,26 +129,10 @@ def disable() -> None:
     _ACTIVE = None
 
 
-class _TimedStage:
-    """Stage wrapper for the per-cell engine's generic tick loop.
-
-    ``tick`` is replaced by the profiler's timed wrapper; everything else
-    (``counters()``, ``name``, stage-specific attributes read by the
-    results aggregation) delegates to the wrapped stage.
-    """
-
-    def __init__(self, inner: object, profiler: StageProfiler):
-        self._inner = inner
-        self.tick = profiler.wrap(inner.name, inner.tick)  # type: ignore[attr-defined]
-
-    def __getattr__(self, name: str) -> object:
-        return getattr(self._inner, name)
-
-
 def run_profiled_single(
     workload: "Workload", config: "SimConfig", profiler: StageProfiler
 ) -> "SimulationResult":
-    """One per-cell simulation with every stage tick timed.
+    """One per-cell simulation with every stage call timed.
 
     Bit-identical to ``Simulator(workload, config).run()`` — the wrappers
     forward arguments and state untouched; only wall time is observed.
@@ -142,11 +140,7 @@ def run_profiled_single(
     from .engine import FrontEndEngine
     from .results import SimulationResult
 
-    engine = FrontEndEngine(workload, config)
-    engine.stages = [  # type: ignore[assignment]
-        _TimedStage(stage, profiler) for stage in engine.stages
-    ]
-    raw = engine.run()
+    raw = FrontEndEngine(workload, config).run(profiler=profiler)
     return SimulationResult(
         workload=workload.name, mechanism=config.mechanism, raw=raw
     )

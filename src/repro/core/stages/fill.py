@@ -41,8 +41,8 @@ class PredecodeFillArrival(FillArrival):
         super().__init__(ctx)
         self.btb = ctx.btb
         self.cfg = ctx.workload.cfg
-        # Pure function of (cfg, block); the batched engine rebinds it to
-        # a per-workload memo shared across lanes (entries are immutable).
+        # Pure function of (cfg, block); the engine rebinds it to its
+        # predecode memo (entries are immutable).
         self._predecode = predecode_block
 
     def tick(self, state: PipelineState, cycle: int) -> None:

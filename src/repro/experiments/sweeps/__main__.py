@@ -25,8 +25,9 @@ telemetry (for the broker: per-worker job counts, queue waits, retries).
 configs each; results are bit-identical and land in the per-cell cache
 under unchanged keys, so warm reruns, shards and ``--resume`` never see
 the difference. ``--profile-stages`` prints per-stage cycle/time
-attribution for whatever executed (per-cell or batched engines); it
-forces the serial backend because the collector is in-process.
+attribution for whatever executed, plus the engine's live and
+fast-forwarded cycle counts; it forces the serial backend because the
+collector is in-process.
 
 With a cache directory configured, ``run`` first writes a **manifest**
 (the resolved cell list — see :mod:`repro.experiments.sweeps.manifest`)

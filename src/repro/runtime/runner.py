@@ -143,8 +143,8 @@ def execute_batch_job(job: BatchJob) -> list[SimulationResult]:
 
     Results are bit-identical to running each member through
     :func:`execute_job` — the :class:`~repro.core.batch.BatchedEngine`
-    is golden-equivalent to the per-cell engine by construction (and
-    pinned by ``tests/test_batch.py``).
+    runs every member on the per-cell engine, sharing only the pure
+    predecode memo (pinned by ``tests/test_batch.py``).
     """
     from ..core.batch import BatchedEngine
 

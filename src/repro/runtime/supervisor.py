@@ -66,7 +66,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from ..envopts import exported, read_env
 from ..errors import ConfigError
@@ -170,12 +170,12 @@ def supervisor_options(
         min_workers=(
             min_workers
             if min_workers is not None
-            else _env_int("REPRO_SUPERVISOR_MIN") or DEFAULT_MIN_WORKERS
+            else _pick(_env_int("REPRO_SUPERVISOR_MIN"), DEFAULT_MIN_WORKERS)
         ),
         max_workers=(
             max_workers
             if max_workers is not None
-            else _env_int("REPRO_SUPERVISOR_MAX") or DEFAULT_MAX_WORKERS
+            else _pick(_env_int("REPRO_SUPERVISOR_MAX"), DEFAULT_MAX_WORKERS)
         ),
         cooldown_seconds=(
             cooldown_seconds
@@ -216,7 +216,10 @@ def supervisor_options(
     return resolved
 
 
-def _pick(env_value: float | None, default: float) -> float:
+_T = TypeVar("_T", int, float)
+
+
+def _pick(env_value: _T | None, default: _T) -> _T:
     """Unlike ``or``, preserves an explicit ``0`` from the environment."""
     return env_value if env_value is not None else default
 

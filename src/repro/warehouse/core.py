@@ -45,6 +45,7 @@ can never shadow an exact result.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -328,8 +329,13 @@ def _cell_metrics(raw: dict[str, object]) -> tuple[float | None, float | None, f
     return ipc, cycles, retired
 
 
+@functools.cache
 def _bench_commit() -> str:
-    """The current source commit, for refresh provenance (best effort)."""
+    """The current source commit, for refresh provenance (best effort).
+
+    Resolved once per process: the checkout does not move under a running
+    program, so one ``git`` spawn serves every later refresh.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

@@ -2,7 +2,8 @@
 
 The load-bearing property is **bit-identity**: a
 :class:`~repro.core.batch.BatchedEngine` pass over N configs must produce
-exactly the per-cell engine's statistics for every lane — across all 8
+exactly the statistics of the reference loop (every stage ticked every
+cycle, ``tests/reference_engine.py``) for every lane — across all 8
 mechanisms and every paper workload — because batched results land in the
 per-cell result cache under unchanged keys. Everything else here guards
 the machinery around that property: batch planning, option resolution,
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from reference_engine import reference_run
 from repro.core import profiling
 from repro.core.mechanisms import MECHANISMS, make_config
 from repro.errors import BrokerError
@@ -40,7 +42,7 @@ from repro.runtime import (
 from repro.runtime import runner as runner_mod
 from repro.runtime.broker import BrokerQueue, job_from_spec, job_spec
 from repro.runtime.cache import SCHEMA_TAG, ResultCache
-from repro.workloads.workload import reset_trace_store
+from repro.workloads.workload import load_workload, reset_trace_store
 
 #: The paper's six workloads (PROFILE_SETS["paper"]).
 PAPER_WORKLOADS = ("nutch", "streaming", "apache", "zeus", "oracle", "db2")
@@ -78,15 +80,15 @@ def _claim_all(queue: BrokerQueue) -> list[str]:
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("workload", PAPER_WORKLOADS)
     def test_all_mechanisms_bit_identical(self, workload):
-        """One batched pass over all 8 mechanisms == 8 per-cell runs."""
+        """One batched pass over all 8 mechanisms == 8 reference runs."""
         configs = tuple(make_config(mech) for mech in MECHANISMS)
         batched = execute_batch_job(BatchJob(workload, configs, SCALE))
         assert len(batched) == len(MECHANISMS)
+        wl = load_workload(workload, scale=SCALE)
         for mech, config, got in zip(MECHANISMS, configs, batched):
-            expect = execute_job(SimJob(workload, config, SCALE))
-            assert got.workload == expect.workload == workload
-            assert got.mechanism == expect.mechanism == mech
-            assert got.raw == expect.raw, f"{workload}/{mech} diverged"
+            assert got.workload == workload
+            assert got.mechanism == mech
+            assert got.raw == reference_run(wl, config), f"{workload}/{mech} diverged"
 
     def test_knob_variants_bit_identical(self):
         """Lanes differing only in knobs (latency, BTB size, predictor)
@@ -100,9 +102,9 @@ class TestGoldenEquivalence:
             make_config("confluence").with_llc_latency(50),
         )
         batched = execute_batch_job(BatchJob("apache", variants, 0.2))
+        wl = load_workload("apache", scale=0.2)
         for config, got in zip(variants, batched):
-            expect = execute_job(SimJob("apache", config, 0.2))
-            assert got.raw == expect.raw
+            assert got.raw == reference_run(wl, config)
 
     def test_batch_width_does_not_matter(self):
         """Splitting the same grid into different batch shapes is

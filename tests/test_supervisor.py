@@ -128,6 +128,16 @@ class TestSupervisorOptions:
         with pytest.raises(ConfigError):
             supervisor_options(**kwargs)
 
+    def test_env_zero_max_workers_rejected_like_the_flag(self, monkeypatch):
+        """``REPRO_SUPERVISOR_MAX=0`` used to fall back to the default 4
+        through ``or``; it must fail exactly like ``--max-workers 0``."""
+        with pytest.raises(ConfigError) as flag_err:
+            supervisor_options(max_workers=0)
+        monkeypatch.setenv("REPRO_SUPERVISOR_MAX", "0")
+        with pytest.raises(ConfigError) as env_err:
+            supervisor_options()
+        assert str(env_err.value) == str(flag_err.value)
+
     def test_malformed_env_value_is_a_config_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUPERVISOR_MAX", "lots")
         with pytest.raises(ConfigError) as err:

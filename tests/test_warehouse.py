@@ -51,6 +51,7 @@ from repro.warehouse import (
     read_status,
     refresh_warehouse,
 )
+from repro.warehouse import core as warehouse_core
 from repro.warehouse.gate import collect_metrics, run_gate, write_baseline
 from repro.warehouse.queries import QUERIES, render_contour, render_trajectory
 
@@ -144,6 +145,20 @@ class TestSchema:
 
     def test_query_registry_matches_names(self):
         assert set(QUERY_NAMES) == set(QUERIES)
+
+    def test_refreshes_spawn_git_once_per_process(self, tmp_path, monkeypatch):
+        spawned = []
+        real_run = warehouse_core.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            spawned.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(warehouse_core.subprocess, "run", counting_run)
+        warehouse_core._bench_commit.cache_clear()
+        for _ in range(3):
+            refresh_warehouse(tmp_path)
+        assert len(spawned) == 1
 
 
 # ---------------------------------------------------------------------------
