@@ -5,6 +5,12 @@ asserts its qualitative shape. Tables are printed and also written to
 ``benchmarks/results/<exhibit>.txt`` so a ``--benchmark-only`` run leaves
 the regenerated figures on disk.
 
+The two perf guards (``test_batched_grid.py``, ``test_analytic_hybrid.py``)
+also produce ``BENCH_*.json`` payloads, but write them only when pytest
+runs with ``--write-bench-results`` (the CI benchmarks job does, to
+publish them): a plain tier-1 run leaves the committed payloads as they
+are, so incidental runs never overwrite the recorded numbers.
+
 Scale defaults to ``quick`` here (set ``REPRO_SCALE`` to override): the
 benchmark suite is a regeneration harness, and quick scale preserves every
 qualitative shape while keeping the full suite to a few minutes.
@@ -23,6 +29,7 @@ runs.
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 
@@ -37,6 +44,15 @@ CACHE_DIR = os.environ.get("REPRO_CACHE_DIR") or str(
 )
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--write-bench-results",
+        action="store_true",
+        default=False,
+        help="write the perf guards' BENCH_*.json payloads to benchmarks/results/",
+    )
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -61,6 +77,27 @@ def record_exhibit():
         print(text)
 
     return _record
+
+
+@pytest.fixture(scope="session")
+def write_bench_payload(request):
+    """Write a BENCH payload to benchmarks/results/, under the opt-in only.
+
+    Returns the written path, or ``None`` when ``--write-bench-results``
+    was not given. pytest accepts the flag when it is pointed at
+    ``benchmarks/`` (this conftest then loads at startup).
+    """
+    enabled = request.config.getoption("--write-bench-results", default=False)
+
+    def _write(name: str, payload: dict) -> pathlib.Path | None:
+        if not enabled:
+            return None
+        RESULTS_DIR.mkdir(exist_ok=True)
+        path = RESULTS_DIR / name
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        return path
+
+    return _write
 
 
 def run_once(benchmark, fn):

@@ -18,15 +18,15 @@ the time of writing; see docs/architecture.md. The floor below is set
 with generous CI headroom: tripping it means the run loop *regressed*,
 not that a runner was slow.
 
-Besides the assertion, the run leaves machine-readable numbers in
-``benchmarks/results/BENCH_batched_grid.json`` (cells/sec per loop,
-wall-clock, speedup) — the CI benchmarks job publishes them in its step
-summary.
+Besides the assertion, a run with ``--write-bench-results`` leaves
+machine-readable numbers in ``benchmarks/results/BENCH_batched_grid.json``
+(cells/sec per loop, wall-clock, speedup) — the CI benchmarks job passes
+it and publishes them in its step summary. Without it the committed
+payload is left alone.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import sys
 import time
@@ -38,8 +38,6 @@ from repro.workloads.workload import load_workload
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 from reference_engine import reference_run  # noqa: E402
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: The measured column: one paper workload's slice of the dense grid.
 WORKLOAD = "apache"
@@ -62,7 +60,7 @@ def _dense_column(workload: str) -> list:
     return jobs
 
 
-def test_engine_loop_faster_than_reference():
+def test_engine_loop_faster_than_reference(write_bench_payload):
     jobs = _dense_column(WORKLOAD)
     assert len(jobs) == 120  # 2 mechanisms x 8 latencies x 5 BTBs + 40 baselines
     scale = get_scale("quick")
@@ -96,12 +94,11 @@ def test_engine_loop_faster_than_reference():
         "speedup_floor": SPEEDUP_FLOOR,
         "bit_identical": identical,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_batched_grid.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path = write_bench_payload("BENCH_batched_grid.json", payload)
     print(
         f"\n{WORKLOAD} dense column ({len(jobs)} cells): reference "
-        f"{t_ref:.1f}s, engine {t_prod:.1f}s (speedup {speedup:.2f}x) -> {path}"
+        f"{t_ref:.1f}s, engine {t_prod:.1f}s (speedup {speedup:.2f}x)"
+        + (f" -> {path}" if path else "")
     )
 
     assert identical, "the engine diverged from the reference loop — never trade correctness"

@@ -49,11 +49,10 @@ class BasicBlockBTB:
     def lookup(self, pc: int) -> BTBEntry | None:
         """Look up the basic block starting at ``pc`` (LRU touch on hit)."""
         self.lookups += 1
-        way = self._set_for(pc)
-        entry = way.get(pc)
+        way = self._sets[(pc >> 2) & self._set_mask]  # _set_for, inlined
+        entry = way.pop(pc, None)
         if entry is not None:
-            del way[pc]
-            way[pc] = entry
+            way[pc] = entry  # re-insert: most recently used
             self.hits += 1
         return entry
 

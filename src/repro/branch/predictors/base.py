@@ -1,10 +1,10 @@
 """Direction-predictor interface.
 
-Trace-driven idiom: the engine calls :meth:`predict` for every conditional
-branch on the correct path and immediately :meth:`update`\\ s with the true
-outcome (the first time that dynamic branch is predicted). Wrong-path
-lookups call :meth:`predict` only, so speculative state never needs to be
-rolled back — see DESIGN.md section 5.4.
+Trace-driven idiom: the engine calls :meth:`predict_update` for every
+conditional branch on the correct path — predict, then train with the true
+outcome at once (the first time that dynamic branch is predicted).
+Wrong-path lookups call :meth:`predict` only, so speculative state never
+needs to be rolled back — see DESIGN.md section 5.4.
 """
 
 from __future__ import annotations
@@ -25,6 +25,16 @@ class DirectionPredictor(ABC):
     @abstractmethod
     def update(self, pc: int, taken: bool) -> None:
         """Train with the true outcome (also advances any global history)."""
+
+    def predict_update(self, pc: int, taken: bool) -> bool:
+        """Predict ``pc``, then train with ``taken``; returns the prediction.
+
+        The correct-path protocol in one call. Predictors that share the
+        lookup between the two steps (TAGE) override it.
+        """
+        pred = self.predict(pc)
+        self.update(pc, taken)
+        return pred
 
     @abstractmethod
     def storage_bits(self) -> int:

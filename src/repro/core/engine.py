@@ -59,7 +59,7 @@ from ..branch.btb import BasicBlockBTB, BTBPrefetchBuffer
 from ..branch.predictors import make_predictor
 from ..branch.ras import ReturnAddressStack
 from ..config import SimConfig
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from ..frontend.ftq import FetchTargetQueue
 from ..frontend.predecode import boomerang_fill, predecode_block
 from ..memory.hierarchy import InstructionMemory
@@ -313,6 +313,24 @@ class _FastForward:
         return last
 
 
+def _check_rob_fits_blocks(workload: Workload, config: SimConfig) -> None:
+    """Reject a ROB that cannot hold the workload's longest basic block.
+
+    A decode group is a whole basic block and dispatches only once the ROB
+    has room for all of it, so a longer block could never enter an empty
+    ROB: the run would spin to the cycle cap instead.
+    """
+    rob_size = config.core.rob_size
+    longest = max(workload.cfg.blocks.values(), key=lambda blk: blk.n_instrs)
+    if longest.n_instrs > rob_size:
+        raise ConfigError(
+            f"rob_size {rob_size} is smaller than the longest basic block of "
+            f"workload {workload.name!r} ({longest.n_instrs} instructions at "
+            f"{longest.start:#x}); a decode group is a whole block, so the "
+            f"ROB needs rob_size >= {longest.n_instrs}"
+        )
+
+
 class FrontEndEngine:
     """One simulated core front-end + simplified back-end.
 
@@ -334,6 +352,7 @@ class FrontEndEngine:
         self.workload = workload
         self.config = config
         self.traits = traits_for(config.mechanism)
+        _check_rob_fits_blocks(workload, config)
 
         self.mem = InstructionMemory(config.memory, perfect=config.perfect_l1i)
         self.btb = BasicBlockBTB(config.btb)
@@ -433,7 +452,7 @@ class FrontEndEngine:
         retire_tick = stages[2].tick
         decode_tick = stages[3].tick
         fetch = stages[4]
-        fetch_tick = fetch.tick
+        fetch_drain = fetch.drain
         bpu = stages[5]
         bpu_probe = bpu._advance_miss_probe
         bpu_predict = bpu._predict
@@ -455,7 +474,7 @@ class FrontEndEngine:
             squash_tick = profiler.wrap(stages[1].name, squash_tick)
             retire_tick = profiler.wrap(stages[2].name, retire_tick)
             decode_tick = profiler.wrap(stages[3].name, decode_tick)
-            fetch_tick = profiler.wrap(fetch.name, fetch_tick)
+            fetch_drain = profiler.wrap(fetch.name, fetch_drain)
             bpu_probe = profiler.wrap(bpu.name, bpu_probe)
             bpu_predict = profiler.wrap(bpu.name, bpu_predict)
             bpu_walk = profiler.wrap(bpu.name, bpu_walk)
@@ -531,7 +550,7 @@ class FrontEndEngine:
                             fetch.stall_uncond += 1
                     elif state.cur_entry is not None or ftq_entries:
                         if state.rob_instrs + state.decode_instrs < rob_size:
-                            fetch_tick(state, cycle)
+                            fetch_drain(state, cycle)
                         else:
                             state.stall_cls = -1  # tick's only effect when full
             # 6. BPU — wrong-path cycles accrue before every other guard.
@@ -591,6 +610,9 @@ class FrontEndEngine:
             profiler.record_cycles(live, ff.skipped_cycles, ff.fast_forwards)
 
         final = collect(cycle)
+        # The hook closes over ``state``: unhook it so the finished engine
+        # is freed with its last reference, not at the next cyclic GC.
+        state.collect_counters = None
         base = state.warmup_snapshot or {k: 0 for k in final}
         stats = {k: final[k] - base.get(k, 0) for k in final}
         stats["warmup_instrs"] = float(base.get("retired_instrs", 0))

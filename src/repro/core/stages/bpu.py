@@ -18,6 +18,7 @@ genuinely fill (or pollute) the prefetch buffer.
 from __future__ import annotations
 
 import bisect
+import functools
 
 from ...branch.btb import BTBEntry
 from ...branch.predictors.base import OraclePredictor
@@ -63,7 +64,9 @@ class BPUStage:
         "cfg_blocks",
         "_starts_sorted",
         "btb",
+        "_lookup",
         "predictor",
+        "_predict_update",
         "ras",
         "ftq",
         "_ftq_entries",
@@ -89,9 +92,15 @@ class BPUStage:
         self.cfg_blocks = wl.cfg.blocks
         self._starts_sorted = sorted(wl.cfg.blocks)
         self.btb = ctx.btb
+        #: BTB lookup for one basic-block start; the miss-probe variant
+        #: rebinds it to a lookup that promotes staged predecode entries.
+        self._lookup = ctx.btb.lookup
         self.predictor = ctx.predictor
+        self._predict_update = ctx.predictor.predict_update
         self.ras = ctx.ras
         self.ftq = ctx.ftq
+        # Stages append to the FTQ's deque directly (see FetchTargetQueue);
+        # tick() only predicts or walks while the queue has room.
         self._ftq_entries = ctx.ftq.entries
         self._ftq_depth = ctx.ftq.depth
         self.perfect_btb = ctx.config.perfect_btb
@@ -132,8 +141,6 @@ class BPUStage:
         kind = self.col_kind[idx]
         taken = self.col_taken[idx]
         actual_next = self.col_next[idx]
-        blk = self.cfg_blocks[start]
-        branch_pc = start + (n_instrs - 1) * 4
 
         if self.perfect_btb:
             entry = True
@@ -149,14 +156,14 @@ class BPUStage:
         mispredicted_next = -1
         ras = self.ras
         if kind == COND:
-            predictor = self.predictor
             if self.oracle:
-                predictor.stage(bool(taken))
-            pred = predictor.predict(branch_pc)
-            predictor.update(branch_pc, bool(taken))
-            if pred != bool(taken):
+                self.predictor.stage(bool(taken))
+            pred = self._predict_update(start + (n_instrs - 1) * 4, taken)
+            if pred != taken:
                 cause = CAUSE_COND
-                mispredicted_next = blk.target if pred else start + n_instrs * 4
+                mispredicted_next = (
+                    self.cfg_blocks[start].target if pred else start + n_instrs * 4
+                )
         elif kind == CALL:
             ras.push(start + n_instrs * 4)
         elif kind == RET:
@@ -182,21 +189,13 @@ class BPUStage:
         if cause != CAUSE_NONE:
             state.wrong_path = True
             state.wp_pc = mispredicted_next
-            state.div_resume_idx = state.bpu_idx + 1
+            state.div_resume_idx = idx + 1
             state.div_cause = cause
             state.ras_snapshot = ras.snapshot()
         else:
-            state.bpu_idx += 1
-        self.ftq.push(
-            (
-                start,
-                n_instrs,
-                state.bpu_idx - (1 if cause == CAUSE_NONE else 0),
-                False,
-                cause,
-                False,
-            )
-        )
+            state.bpu_idx = idx + 1
+        self._ftq_entries.append((start, n_instrs, idx, False, cause, False))
+        self.ftq.pushed += 1
 
     # ----------------------------------------------------------- wrong path
 
@@ -210,10 +209,11 @@ class BPUStage:
                 n_i = 4
             else:
                 n_i = max(1, (nxt - wp_pc) >> 2)
-            self.ftq.push((wp_pc, n_i, -1, True, CAUSE_NONE, False))
+            self._ftq_entries.append((wp_pc, n_i, -1, True, CAUSE_NONE, False))
+            self.ftq.pushed += 1
             state.wp_pc = wp_pc + n_i * 4
             return
-        start = blk.start
+        start = wp_pc  # the CFG is keyed by block start
         n_i = blk.n_instrs
         if self.perfect_btb:
             entry = BTBEntry(n_i, int(blk.kind), blk.target)
@@ -224,25 +224,22 @@ class BPUStage:
                 return  # BPU stalled on a miss probe; nothing enters the FTQ
             state.wp_pc = start + n_i * 4  # straight line
         else:
-            kind = entry[1]
+            e_instrs, kind, target = entry
             if kind == COND:
-                pred = self.predictor.predict(start + (entry[0] - 1) * 4)
-                state.wp_pc = entry[2] if pred else start + entry[0] * 4
+                pred = self.predictor.predict(start + (e_instrs - 1) * 4)
+                state.wp_pc = target if pred else start + e_instrs * 4
             elif kind == CALL or kind == IND_CALL:
-                self.ras.push(start + entry[0] * 4)
-                state.wp_pc = entry[2]
+                self.ras.push(start + e_instrs * 4)
+                state.wp_pc = target
             elif kind == RET:
                 popped = self.ras.pop()
-                state.wp_pc = popped if popped is not None else start + entry[0] * 4
+                state.wp_pc = popped if popped is not None else start + e_instrs * 4
             else:
-                state.wp_pc = entry[2]
-        self.ftq.push((start, n_i, -1, True, CAUSE_NONE, False))
+                state.wp_pc = target
+        self._ftq_entries.append((start, n_i, -1, True, CAUSE_NONE, False))
+        self.ftq.pushed += 1
 
     # ----------------------------------------------------- overridable bits
-
-    def _lookup(self, start: int) -> BTBEntry | None:
-        """BTB lookup for one basic-block start."""
-        return self.btb.lookup(start)
 
     def _handle_miss(
         self,
@@ -257,26 +254,19 @@ class BPUStage:
         If the unknown branch was actually taken the run diverges and the
         eventual squash is charged to the BTB (Figure 7's dominant cause).
         """
+        idx = state.bpu_idx
         if taken:
             cause = CAUSE_BTB
             state.wrong_path = True
             state.wp_pc = start + n_instrs * 4
-            state.div_resume_idx = state.bpu_idx + 1
+            state.div_resume_idx = idx + 1
             state.div_cause = CAUSE_BTB
             state.ras_snapshot = self.ras.snapshot()
         else:
             cause = CAUSE_NONE
-            state.bpu_idx += 1
-        self.ftq.push(
-            (
-                start,
-                n_instrs,
-                state.bpu_idx - (0 if taken else 1),
-                False,
-                cause,
-                True,
-            )
-        )
+            state.bpu_idx = idx + 1
+        self._ftq_entries.append((start, n_instrs, idx, False, cause, True))
+        self.ftq.pushed += 1
 
     def _handle_wp_miss(self, state: PipelineState, cycle: int, start: int) -> bool:
         """Wrong-path BTB miss; returns True if the BPU stalled on it."""
@@ -325,6 +315,10 @@ class MissProbeBPU(BPUStage):
         # so the engine rebinds it to its predecode memo (BTBEntry is
         # immutable — sharing results is safe).
         self._fill = boomerang_fill
+        # A partial, not a bound method: a stage holding its own bound
+        # method is a reference cycle, which kept every finished Boomerang
+        # engine (caches, BTB, predictor) alive until the next cyclic GC.
+        self._lookup = functools.partial(_promoting_lookup, ctx.btb, ctx.btb_buf)
 
     def _advance_miss_probe(self, state: PipelineState, cycle: int) -> None:
         """One cycle of the in-flight BTB-miss probe state machine."""
@@ -349,16 +343,6 @@ class MissProbeBPU(BPUStage):
                 )
             bmiss[1] += 1
             bmiss[2] = self.mem.data_ready(bmiss[1], cycle) + self.predecode_latency
-
-    def _lookup(self, start: int) -> BTBEntry | None:
-        """BTB lookup that promotes a staged prefetch-buffer entry on miss."""
-        entry = self.btb.lookup(start)
-        if entry is None:
-            staged = self.btb_buf.take(start)
-            if staged is not None:
-                self.btb.insert(start, staged)
-                return staged
-        return entry
 
     def _set_bmiss(self, state: PipelineState, cycle: int, start: int) -> None:
         """Stall the BPU on a miss probe for the block holding ``start``."""
@@ -390,3 +374,14 @@ class MissProbeBPU(BPUStage):
     def _handle_wp_miss(self, state: PipelineState, cycle: int, start: int) -> bool:
         self._set_bmiss(state, cycle, start)
         return True
+
+
+def _promoting_lookup(btb, btb_buf, start: int) -> BTBEntry | None:
+    """BTB lookup that promotes a staged prefetch-buffer entry on miss."""
+    entry = btb.lookup(start)
+    if entry is None:
+        staged = btb_buf.take(start)
+        if staged is not None:
+            btb.insert(start, staged)
+            return staged
+    return entry

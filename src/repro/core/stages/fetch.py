@@ -42,7 +42,6 @@ class FetchUnit:
         "resolve_latency",
         "mem",
         "btb",
-        "ftq",
         "_ftq_entries",
         "prefetcher",
         "col_entry",
@@ -62,7 +61,7 @@ class FetchUnit:
         self.resolve_latency = core.resolve_latency
         self.mem = ctx.mem
         self.btb = ctx.btb
-        self.ftq = ctx.ftq
+        # Fetch pops the FTQ's deque directly (see FetchTargetQueue).
         self._ftq_entries = ctx.ftq.entries
         self.prefetcher = ctx.prefetcher
         columns = ctx.workload.trace.columns
@@ -86,11 +85,19 @@ class FetchUnit:
             elif cls == UNCONDK:
                 self.stall_uncond += 1
             return
-        ftq_entries = self._ftq_entries
-        if state.cur_entry is None and not ftq_entries:
+        if state.cur_entry is None and not self._ftq_entries:
             return  # nothing fetchable; any future miss re-sets stall_cls
+        self.drain(state, cycle)
+
+    def drain(self, state: PipelineState, cycle: int) -> None:
+        """The tick past its guards: fetch from the current entry / FTQ head.
+
+        The engine's run loop calls this directly once its inlined copy of
+        the guards has passed (no data stall, no fetch stall, something to
+        fetch).
+        """
         state.stall_cls = -1
-        ftq = self.ftq
+        ftq_entries = self._ftq_entries
         mem = self.mem
         prefetcher = self.prefetcher
         col_entry = self.col_entry
@@ -106,7 +113,7 @@ class FetchUnit:
             if cur_entry is None:
                 if not ftq_entries:
                     break
-                cur_entry = ftq.pop()
+                cur_entry = ftq_entries.popleft()
                 cur_off = 0
             start, n_instrs, tidx, wp, cause, learn = cur_entry
             pc = start + cur_off * 4

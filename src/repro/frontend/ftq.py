@@ -8,10 +8,21 @@ no-prefetch baseline uses a shallow one that models an ordinary coupled
 fetch buffer.
 
 Entries are engine-defined tuples; the FTQ only manages capacity, ordering
-and the prefetch-scan watermark. The backing deque is exposed as
-:attr:`FetchTargetQueue.entries` so per-cycle pipeline stages can bind it
-once and test occupancy/tails without a Python-level property call; treat
-it as read-only — all mutation goes through ``push``/``pop``/``flush``.
+and the prefetch-scan watermark. The pipeline stages bind the backing
+deque :attr:`FetchTargetQueue.entries` once and work on it directly, one
+Python call less per basic block. That is the one stated way stages touch
+the queue:
+
+* the BPU appends at the tail and bumps :attr:`FetchTargetQueue.pushed`
+  by one per entry, and only while ``len(entries) < depth`` (its tick
+  gate), so the capacity bound holds without ``push``'s check;
+* fetch pops the head with ``entries.popleft()``;
+* the prefetch engine only reads entries newer than its ``pushed``
+  watermark;
+* the squash unit empties the queue with :meth:`FetchTargetQueue.flush`,
+  which also counts the flush.
+
+``push``/``pop`` do the same with checks, for tests and tools.
 """
 
 from __future__ import annotations
@@ -27,7 +38,8 @@ class FetchTargetQueue:
         if depth < 1:
             raise ValueError("FTQ depth must be >= 1")
         self.depth = depth
-        #: Backing deque, oldest entry first. Read-only for stages.
+        #: Backing deque, oldest entry first (see the module docstring for
+        #: how stages may touch it).
         self.entries: deque = deque()
         #: Count of entries ever pushed; the prefetch engine keeps its own
         #: watermark against this to scan each entry exactly once.

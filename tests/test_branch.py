@@ -257,6 +257,25 @@ class TestMakePredictor:
         p = make_predictor(PredictorParams(kind=kind))
         assert p.predict(0x40) in (True, False)
 
+    @pytest.mark.parametrize("kind", PredictorParams.KNOWN_KINDS)
+    def test_predict_update_is_predict_then_update(self, kind):
+        """The fused correct-path call returns what ``predict`` would have
+        and leaves the state ``predict`` + ``update`` would."""
+        fused = make_predictor(PredictorParams(kind=kind))
+        split = make_predictor(PredictorParams(kind=kind))
+        for i in range(300):
+            pc = 0x400 + (i % 7) * 4
+            taken = (i * 5) % 3 != 0
+            if kind == "oracle":
+                fused.stage(taken)
+                split.stage(taken)
+            expected = split.predict(pc)
+            split.update(pc, taken)
+            assert fused.predict_update(pc, taken) == expected
+        assert [fused.predict(0x400 + k * 4) for k in range(7)] == [
+            split.predict(0x400 + k * 4) for k in range(7)
+        ]
+
     def test_tage_budget_is_8kb(self):
         p = make_predictor(PredictorParams())
         assert p.storage_bits() / 8 / 1024 == pytest.approx(8, abs=1.0)

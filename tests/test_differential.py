@@ -44,10 +44,9 @@ def configs(draw: st.DrawFn) -> SimConfig:
         data_stall_bb_frac=draw(st.sampled_from((0.0, 0.1, 0.32, 0.7, 1.0))),
         data_stall_cycles=draw(st.integers(0, 60)),
         decode_latency=draw(st.integers(1, 12)),
-        # A decode group is a whole basic block, so a ROB smaller than the
-        # longest block never dispatches it and the run hits the cycle cap
-        # (both loops agree). Below ~24 entries some profiles do; the
-        # default is 128.
+        # A decode group is a whole basic block, so the engine refuses a
+        # ROB smaller than the workload's longest block (24 instructions
+        # on some profiles) with a ConfigError; the default is 128.
         rob_size=draw(st.integers(32, 192)),
         ftq_depth=draw(st.integers(1, 48)),
     )

@@ -1,5 +1,9 @@
 """Functional tests for the cycle-level engine and simulator API."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import pytest
 
 from repro import Simulator, make_config, run_mechanism
@@ -11,7 +15,8 @@ from repro.core.mechanisms import (
     make_config as mk,
     traits_for,
 )
-from repro.errors import UnknownMechanismError
+from repro.core.engine import FrontEndEngine
+from repro.errors import ConfigError, UnknownMechanismError
 
 
 class TestMechanismRegistry:
@@ -93,6 +98,44 @@ class TestEngineBasics:
         res = run_mechanism("next_line", small_workload)
         assert res.mechanism == "next_line"
         assert res.workload == small_workload.name
+
+
+class TestEngineLifetime:
+    @pytest.mark.parametrize("mech", ["fdip", "boomerang"])
+    def test_finished_engine_is_freed_without_the_cyclic_gc(self, mech, small_workload):
+        """No reference cycle holds a finished engine: its caches, BTB and
+        predictor go with its last reference, not at a later cyclic GC
+        (which let finished cells pile up in a grid's peak RSS)."""
+        gc.disable()
+        try:
+            engine = FrontEndEngine(small_workload, make_config(mech))
+            engine.run(2000)
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestRobFitsBlocks:
+    """A decode group is a whole basic block: a ROB smaller than the longest
+    one could never dispatch it, so the engine refuses it up front instead
+    of spinning to the cycle cap."""
+
+    @staticmethod
+    def _with_rob(rob_size):
+        config = make_config("fdip")
+        return replace(config, core=replace(config.core, rob_size=rob_size))
+
+    def test_rob_smaller_than_longest_block_is_a_config_error(self, small_workload):
+        longest = max(b.n_instrs for b in small_workload.cfg.blocks.values())
+        with pytest.raises(ConfigError, match=rf"rob_size {longest - 1} .*\({longest} instructions"):
+            FrontEndEngine(small_workload, self._with_rob(longest - 1))
+
+    def test_rob_as_long_as_longest_block_runs(self, small_workload):
+        longest = max(b.n_instrs for b in small_workload.cfg.blocks.values())
+        stats = FrontEndEngine(small_workload, self._with_rob(longest)).run(2000)
+        assert stats["retired_instrs"] + stats["warmup_instrs"] >= 2000
 
 
 class TestPerfectModes:
